@@ -7,11 +7,13 @@ package monetlite
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"monetlite/internal/agg"
 	"monetlite/internal/bat"
 	"monetlite/internal/core"
+	"monetlite/internal/dsm"
 	"monetlite/internal/scan"
 	"monetlite/internal/sel"
 	"monetlite/internal/workload"
@@ -362,6 +364,54 @@ func BenchmarkAblationSelect(b *testing.B) {
 			}
 		}
 	})
+}
+
+// BenchmarkCSSRangeSelect tracks the scan-vs-CSS crossover natively on
+// a 1M-row column of distinct keys: the CSS-tree range select in
+// storage order (sort path for a handful of OIDs, bitmap path beyond),
+// the superseded value-order walk plus comparison sort, and the
+// positional scan-select kernel the fused pipelines run.
+func BenchmarkCSSRangeSelect(b *testing.B) {
+	const n = benchCard
+	rng := workload.NewRNG(12)
+	vals := make([]int32, n)
+	for i := range vals {
+		vals[i] = int32(i)
+	}
+	for i := n - 1; i > 0; i-- {
+		j := rng.Intn(i + 1)
+		vals[i], vals[j] = vals[j], vals[i]
+	}
+	tree := sel.BuildCSSTree(nil, sel.NewColumn(vals))
+	col := &dsm.Column{Def: dsm.ColumnDef{Name: "k", Type: dsm.LInt}, Vec: bat.NewI32(vals)}
+	var bm []uint64
+	pos := make([]int32, 0, n)
+	for _, w := range []struct {
+		name string
+		k    int
+	}{{"k=20", 20}, {"sel=1%", n / 100}, {"sel=10%", n / 10}, {"sel=30%", 3 * n / 10}} {
+		lo := int32(n/3) - int32(w.k/2)
+		hi := lo + int32(w.k) - 1
+		b.Run(w.name+"/css", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if got := tree.RangePos(nil, lo, hi, &bm, core.Serial()); len(got) != w.k {
+					b.Fatalf("%d rows, want %d", len(got), w.k)
+				}
+			}
+		})
+		b.Run(w.name+"/css-sort", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				slices.Sort(tree.RangeSelect(nil, lo, hi))
+			}
+		})
+		b.Run(w.name+"/scan", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if got := dsm.SelectRangePos(col, int64(lo), int64(hi), 0, n, pos[:0]); len(got) != w.k {
+					b.Fatalf("%d rows, want %d", len(got), w.k)
+				}
+			}
+		})
+	}
 }
 
 // BenchmarkAblationGrouping compares hash-grouping and sort-grouping

@@ -5,6 +5,7 @@ import (
 
 	"monetlite/internal/agg"
 	"monetlite/internal/costmodel"
+	"monetlite/internal/sel"
 )
 
 // Cost formulas for the physical choices the paper's models do not
@@ -88,9 +89,15 @@ func scanSelectCost(n int, width int, k float64, model *costmodel.Model) costmod
 }
 
 // cssSelectCost predicts a CSS-tree range select returning k of n
-// entries: a descent of height ceil(log_f n) — one cache line per
-// level, randomly placed — then a sequential leaf scan of k (key, OID)
-// entries, the k-OID output, and the positional re-sort of the result.
+// entries: two descents of height ceil(log_f n) — one cache line per
+// level, randomly placed — that bound the leaf range, a sequential read
+// of its k OIDs, and the k-OID output in storage order. Order is
+// restored the way selectCSSOp executes it (sel.SortRestores): a
+// k·lg k comparison sort for a handful of OIDs, otherwise k bit-sets
+// into an n/8-byte bitmap (probeBreakdown: L2-resident at 1M rows),
+// its n/64-word clear and decode sweeps, and the extraction of each
+// set bit — a lg 64-step search on a CPU without a count-trailing-zeros
+// instruction, like the modelled 1999 ones.
 func cssSelectCost(n int, k float64, model *costmodel.Model) costmodel.Breakdown {
 	fanout := float64(model.M.L1.LineSize / 4)
 	if fanout < 2 {
@@ -100,19 +107,36 @@ func cssSelectCost(n int, k float64, model *costmodel.Model) costmodel.Breakdown
 	if n > 1 {
 		height = math.Ceil(math.Log(float64(n)) / math.Log(fanout))
 	}
-	b := costmodel.Breakdown{ // descent: one line touch per level
-		L1Misses:  height,
-		L2Misses:  height,
-		TLBMisses: height,
+	b := costmodel.Breakdown{ // two descents: one line touch per level
+		L1Misses:  2 * height,
+		L2Misses:  2 * height,
+		TLBMisses: 2 * height,
 	}
-	leaf := seqBreakdown(k*8, model) // 4-byte key + 4-byte OID per entry
-	out := seqBreakdown(k*4, model)
-	b = b.Add(leaf).Add(out)
-	lgk := math.Log2(k + 2)
-	b.CPUNanos = height*fanout*model.M.Cost.WScanBUN/4 + // in-node scans
-		k*model.M.Cost.WScanBUN/4 + // leaf emit
-		k*lgk*model.M.Cost.WScanBUN/8 // re-sort to storage order
+	oids, bitmap, out := cssTraffic(n, k)
+	b = b.Add(seqBreakdown(oids, model)).Add(seqBreakdown(out, model))
+	// w is one scan-loop iteration of CPU work.
+	w := model.M.Cost.WScanBUN / 4
+	b.CPUNanos = 2*height*fanout*w + // in-node scans
+		2*k*w // OID load and output store
+	if bitmap == 0 {
+		b.CPUNanos += k * math.Log2(k+2) * w / 2 // sort to storage order
+		return b
+	}
+	b = b.Add(probeBreakdown(k, bitmap, model)).Add(seqBreakdown(bitmap, model))
+	b.CPUNanos += 2*bitmap/8*w + // clear and decode sweeps, a word per step
+		k*(2+6)*w // bit-set read-modify-write, lg 64-step bit extraction
 	return b
+}
+
+// cssTraffic is a CSS range select's byte traffic for k of n rows — the
+// one accounting behind cssSelectCost and EXPLAIN ANALYZE: the leaf
+// OIDs read, the order-restoring bitmap (zero on the sort path), and
+// the OID output.
+func cssTraffic(n int, k float64) (oids, bitmap, out float64) {
+	if !sel.SortRestores(int(k), n) {
+		bitmap = 8 * float64(sel.BitmapWords(n))
+	}
+	return 4 * k, bitmap, 4 * k
 }
 
 // refilterCost predicts re-testing a predicate on k already-selected

@@ -238,6 +238,11 @@ type selectCSSOp struct {
 	pred RangePred
 	est  float64
 	cost costmodel.Breakdown
+	// scan is the scan-select alternative lowerSelect priced and
+	// rejected. fusePipelines takes it back when the pipeline it would
+	// fuse undercuts this select plus the unfused chain above; either
+	// way it clears the field once decided.
+	scan *selectScanOp
 }
 
 func (o *selectCSSOp) exec(ctx *execCtx) (*fragment, error) {
@@ -252,16 +257,14 @@ func (o *selectCSSOp) exec(ctx *execCtx) (*fragment, error) {
 	if o.pred.Lo > o.pred.Hi || o.pred.Lo > 1<<31-1 || o.pred.Hi < -1<<31 {
 		return &fragment{binds: []binding{{table: b.table, oids: []bat.Oid{}}}}, nil
 	}
-	tree, err := cssTreeFor(ctx.sim, o.col)
+	ix, tree, err := cssTreeFor(ctx.sim, o.col)
 	if err != nil {
 		return nil, err
 	}
-	lo, hi := clampI32(o.pred.Lo), clampI32(o.pred.Hi)
-	oids := tree.RangeSelect(ctx.sim, lo, hi)
-	// The tree returns OIDs in value order; restore storage order so the
-	// result is byte-identical to the scan access path.
-	slices.Sort(oids)
-	return &fragment{binds: []binding{{table: b.table, oids: nonNil(oids)}}}, nil
+	bm := ix.takeBits()
+	oids := tree.RangePos(ctx.sim, clampI32(o.pred.Lo), clampI32(o.pred.Hi), &bm, ctx.opt)
+	ix.putBits(bm)
+	return &fragment{binds: []binding{{table: b.table, oids: oids}}}, nil
 }
 
 func (o *selectCSSOp) label() string { return "Select[csstree]" }
@@ -289,35 +292,41 @@ func clampI32(v int64) int32 {
 // churn through fresh sims from pinning every dead simulator. The
 // first instrumented use per sim charges the build to that sim (the
 // index-creation cost); later runs on the same sim probe the amortized
-// index, which is what the planner's cssSelectCost assumes.
+// index, which is what the planner's cssSelectCost assumes. bits is
+// the order-restoring bitmap scratch of CSSTree.RangePos, n/8 bytes
+// kept between queries so a range select allocates only its output;
+// concurrent selects on one column each check it out (takeBits) and a
+// spare one is dropped.
 type cssIndexes struct {
 	mu      sync.Mutex
 	native  *sel.CSSTree
 	sim     *memsim.Sim
 	simTree *sel.CSSTree
+	bits    []uint64
 }
 
-// cssTreeFor returns the CSS-tree over a column for the given sim.
-func cssTreeFor(sim *memsim.Sim, c *dsm.Column) (*sel.CSSTree, error) {
+// cssTreeFor returns the column's index cache and its CSS-tree for the
+// given sim.
+func cssTreeFor(sim *memsim.Sim, c *dsm.Column) (*cssIndexes, *sel.CSSTree, error) {
 	v, err := c.IndexCache(func() (any, error) { return &cssIndexes{}, nil })
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	ix, ok := v.(*cssIndexes)
 	if !ok {
-		return nil, fmt.Errorf("engine: column %q has a foreign cached index %T", c.Def.Name, v)
+		return nil, nil, fmt.Errorf("engine: column %q has a foreign cached index %T", c.Def.Name, v)
 	}
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
 	if sim == nil && ix.native != nil {
-		return ix.native, nil
+		return ix, ix.native, nil
 	}
 	if sim != nil && ix.sim == sim {
-		return ix.simTree, nil
+		return ix, ix.simTree, nil
 	}
 	vals, err := columnI32(c)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	t := sel.BuildCSSTree(sim, sel.NewColumn(vals))
 	if sim == nil {
@@ -325,7 +334,26 @@ func cssTreeFor(sim *memsim.Sim, c *dsm.Column) (*sel.CSSTree, error) {
 	} else {
 		ix.sim, ix.simTree = sim, t
 	}
-	return t, nil
+	return ix, t, nil
+}
+
+// takeBits checks out the column's bitmap scratch (nil before the
+// first bitmap-path select, or while another select holds it).
+func (ix *cssIndexes) takeBits() []uint64 {
+	ix.mu.Lock()
+	defer ix.mu.Unlock()
+	bm := ix.bits
+	ix.bits = nil
+	return bm
+}
+
+// putBits returns a bitmap to the column for the next select.
+func (ix *cssIndexes) putBits(bm []uint64) {
+	ix.mu.Lock()
+	defer ix.mu.Unlock()
+	if ix.bits == nil {
+		ix.bits = bm
+	}
 }
 
 // columnI32 copies an integer column into the int32 domain the sel

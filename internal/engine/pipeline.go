@@ -157,6 +157,9 @@ func fusePipelines(op physOp, cfg Config) physOp {
 	if p := matchChain(op, cfg); p != nil {
 		return p
 	}
+	if p := fuseOverCSS(op, cfg); p != nil {
+		return p
+	}
 	switch x := op.(type) {
 	case *limitOp:
 		x.in = fusePipelines(x.in, cfg)
@@ -177,6 +180,74 @@ func fusePipelines(op physOp, cfg Config) physOp {
 		x.right = fusePipelines(x.right, cfg)
 	}
 	return op
+}
+
+// fuseOverCSS decides the access path where it matters most: a chain
+// that would fuse over a scan-select but is broken by the CSS-tree
+// select lowerSelect chose locally. It keeps the cheaper of
+//
+//   - predicted(CSS select + the unfused chain above it), and
+//   - predicted(the pipeline fused over the scan alternative),
+//
+// returning the pipeline when that wins. The comparison is made only
+// when the scan's select cost could be recovered: fusion saves at most
+// the chain's intermediates — bounded by the chain's own predicted
+// cost plus the scan's OID output — so a CSS lead beyond that (a point
+// lookup) stands without building a pipeline. Once compared, the
+// decision is final: the alternative is dropped, so a sub-chain
+// further down never re-decides it.
+func fuseOverCSS(op physOp, cfg Config) *pipelineOp {
+	model := cfg.Model
+	var chainN float64
+	var slot *physOp
+	cur := op
+	for {
+		switch x := cur.(type) {
+		case *limitOp:
+			slot = &x.in
+		case *projectOp:
+			slot = &x.in
+		case *groupAggOp:
+			slot = &x.in
+		case *refilterOp:
+			slot = &x.in
+		default:
+			return nil
+		}
+		chainN += model.Nanos(costmodel.KindOf(cur.label()), cur.predicted())
+		if css, ok := (*slot).(*selectCSSOp); ok {
+			return css.fuseOver(op, slot, chainN, cfg)
+		}
+		cur = *slot
+	}
+}
+
+// fuseOver is fuseOverCSS's comparison for the CSS select sitting in
+// *slot under the chain headed by op, whose unfused cost is chainN.
+func (o *selectCSSOp) fuseOver(op physOp, slot *physOp, chainN float64, cfg Config) *pipelineOp {
+	scan := o.scan
+	if scan == nil {
+		return nil
+	}
+	model := cfg.Model
+	cssN := model.Nanos("Select[csstree]", o.cost)
+	k := float64(scan.col.Vec.Len()) * scan.est
+	recoverable := chainN + model.Nanos("Select[scan]", seqBreakdown(4*k, model))
+	if model.Nanos("Select[scan]", scan.cost)-cssN >= recoverable {
+		o.scan = nil
+		return nil
+	}
+	*slot = scan
+	if p := matchChain(op, cfg); p != nil {
+		o.scan = nil
+		if model.Nanos(costmodel.KindOf(p.label()), p.cost) < cssN+chainN {
+			return p
+		}
+	}
+	// CSS won, or this chain shape does not fuse (a Limit over a
+	// GroupAggregate) and the chain below it decides.
+	*slot = o
+	return nil
 }
 
 // matchChain tries to interpret op as the head of a fusable chain down

@@ -438,7 +438,9 @@ func lower(n Node, cfg Config) (physOp, *shape, error) {
 // lowerSelect picks the selection access path (§3.2): directly above a
 // Scan the planner compares the cost models of a full-column
 // scan-select and a CSS-tree range select; above anything else the
-// predicate becomes a positional refilter.
+// predicate becomes a positional refilter. A CSS-tree pick keeps the
+// scan alternative: the CSS select breaks pipeline fusion, so
+// fusePipelines re-decides it against the fused subplan.
 func lowerSelect(x *SelectNode, cfg Config) (physOp, *shape, error) {
 	model := cfg.Model
 	in, s, err := lower(x.Input, cfg)
@@ -465,17 +467,17 @@ func lowerSelect(x *SelectNode, cfg Config) (physOp, *shape, error) {
 
 	n := c.Vec.Len()
 	k := float64(n) * frac
-	scanCost := scanSelectCost(n, c.Width(), k, model)
+	scan := &selectScanOp{in: in, col: c, pred: x.Pred, est: frac,
+		par: planPar(cfg, float64(n)), cost: scanSelectCost(n, c.Width(), k, model)}
 
 	rp, isRange := x.Pred.(RangePred)
 	if isRange && indexableI32(c) && rangeInI32(rp) {
 		cssCost := cssSelectCost(n, k, model)
-		if model.Nanos("Select[csstree]", cssCost) < model.Nanos("Select[scan]", scanCost) {
-			return &selectCSSOp{in: in, col: c, pred: rp, est: frac, cost: cssCost}, out, nil
+		if model.Nanos("Select[csstree]", cssCost) < model.Nanos("Select[scan]", scan.cost) {
+			return &selectCSSOp{in: in, col: c, pred: rp, est: frac, cost: cssCost, scan: scan}, out, nil
 		}
 	}
-	return &selectScanOp{in: in, col: c, pred: x.Pred, est: frac,
-		par: planPar(cfg, float64(n)), cost: scanCost}, out, nil
+	return scan, out, nil
 }
 
 // predColumn resolves and type-checks the predicate's column.

@@ -248,8 +248,11 @@ func (p *Profile) opTraffic(n *OpStats) {
 		n.BytesRead = in * int64(op.col.Width())
 		n.BytesWritten = out * 4
 	case *selectCSSOp:
-		n.BytesRead = out * 8 // leaf (key, OID) entries; descent is noise
-		n.BytesWritten = out * 4
+		// Leaf OIDs plus the bitmap sweep in, the OIDs out; the
+		// descents are noise.
+		oids, bitmap, written := cssTraffic(int(in), float64(out))
+		n.BytesRead = int64(oids + bitmap)
+		n.BytesWritten = int64(written)
 	case *refilterOp:
 		n.BytesRead = in * int64(op.col.Width())
 		n.BytesWritten = out * 4 * int64(n.outBinds)

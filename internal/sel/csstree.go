@@ -1,7 +1,12 @@
 package sel
 
 import (
+	"math"
+	"math/bits"
+	"slices"
+
 	"monetlite/internal/bat"
+	"monetlite/internal/core"
 	"monetlite/internal/memsim"
 )
 
@@ -22,6 +27,7 @@ type CSSTree struct {
 
 	bases    []uint64 // simulated base per level
 	oidsBase uint64
+	bitsBase uint64 // simulated home of the caller's order-restoring bitmap
 }
 
 // BuildCSSTree constructs the tree with node size equal to the
@@ -69,6 +75,7 @@ func BuildCSSTree(sim *memsim.Sim, c *Column) *CSSTree {
 		for j := range oids {
 			sim.Write(t.oidsBase+uint64(j)*4, 4)
 		}
+		t.bitsBase = sim.Alloc(8 * BitmapWords(len(oids)))
 	}
 	return t
 }
@@ -145,24 +152,178 @@ func (t *CSSTree) Lookup(sim *memsim.Sim, key int32) []bat.Oid {
 	return out
 }
 
-// RangeSelect returns the OIDs of all values in [lo, hi]: one descent
-// plus a sequential leaf scan (the cache-friendly part of the design).
-// Like Lookup, it never returns nil — nil means "all rows" downstream.
-func (t *CSSTree) RangeSelect(sim *memsim.Sim, lo, hi int32) []bat.Oid {
-	out := []bat.Oid{}
-	if len(t.levels[0]) == 0 {
-		return out
+// bounds returns the leaf index range [from, to) holding the keys in
+// [lo, hi]. Both ends are found by descent — one cache line per level
+// each — so the leaf walk between them compares no keys. An inverted
+// range yields an empty range.
+func (t *CSSTree) bounds(sim *memsim.Sim, lo, hi int32) (from, to int) {
+	n := len(t.levels[0])
+	if n == 0 || lo > hi {
+		return 0, 0
 	}
-	leaf := t.levels[0]
-	for i := t.lowerBound(sim, lo); i < len(leaf) && leaf[i] <= hi; i++ {
-		if sim != nil {
-			sim.Read(t.bases[0]+uint64(i)*4, 4)
+	from = t.lowerBound(sim, lo)
+	to = n
+	if hi < math.MaxInt32 {
+		to = t.lowerBound(sim, hi+1)
+	}
+	return from, to
+}
+
+// leafOIDs copies the OIDs of the leaf entries [from, to) — value
+// order — into a result sized once from the two bounds, never nil.
+func (t *CSSTree) leafOIDs(sim *memsim.Sim, from, to int) []bat.Oid {
+	out := make([]bat.Oid, to-from)
+	copy(out, t.oids[from:to])
+	if sim != nil {
+		for i := from; i < to; i++ {
 			sim.Read(t.oidsBase+uint64(i)*4, 4)
-			sim.AddCPU(1, sim.Machine().Cost.WScanBUN/4)
 		}
-		out = append(out, t.oids[i])
+		sim.AddCPU(to-from, sim.Machine().Cost.WScanBUN/4)
 	}
 	return out
+}
+
+// RangeSelect returns the OIDs of all values in [lo, hi] in value
+// order: two descents plus a sequential leaf walk (the cache-friendly
+// part of the design). Like Lookup, it never returns nil — nil means
+// "all rows" downstream.
+func (t *CSSTree) RangeSelect(sim *memsim.Sim, lo, hi int32) []bat.Oid {
+	from, to := t.bounds(sim, lo, hi)
+	return t.leafOIDs(sim, from, to)
+}
+
+// SortRestores reports whether restoring storage order to k of n OIDs
+// is cheaper by comparison sort (k·log2 k compares) than by a bitmap
+// sweep (n/64 words) — true for point lookups, false once a range
+// selects more than a sliver of the column. A fixed cost comparison,
+// shared by RangePos and the engine's cost model so both take one
+// path.
+func SortRestores(k, n int) bool {
+	return float64(k)*math.Log2(float64(k)+1) < float64(n)/64
+}
+
+// BitmapWords is the length of an n-bit bitmap in 64-bit words.
+func BitmapWords(n int) int { return (n + 63) / 64 }
+
+// RangePos returns the OIDs of all values in [lo, hi] in storage order,
+// byte-identical to ScanSelect. The leaf walk yields them in value
+// order; a handful (SortRestores) are sorted, otherwise each sets one
+// bit of an n-bit bitmap — n/8 bytes, 128 KB and L2-resident at 1M
+// rows — that decodes into ascending OIDs. *scratch is the caller's
+// bitmap, kept between calls: it is grown when too short and cleared
+// before use. A native run with more than one worker decodes
+// morsel-parallel, per-morsel counts and a prefix sum placing each
+// morsel's OIDs, as the scan-select fills its output.
+func (t *CSSTree) RangePos(sim *memsim.Sim, lo, hi int32, scratch *[]uint64, opt core.Options) []bat.Oid {
+	from, to := t.bounds(sim, lo, hi)
+	n := len(t.oids)
+	if SortRestores(to-from, n) {
+		out := t.leafOIDs(sim, from, to)
+		slices.Sort(out)
+		if sim != nil {
+			k := float64(len(out))
+			sim.AddCPU(int(k*math.Log2(k+2)), sim.Machine().Cost.WScanBUN/8)
+		}
+		return out
+	}
+	words := BitmapWords(n)
+	if cap(*scratch) < words {
+		*scratch = make([]uint64, words)
+	}
+	bm := (*scratch)[:words]
+	clear(bm)
+	markBits(t.oids[from:to], bm)
+	out := make([]bat.Oid, to-from)
+	if sim != nil {
+		t.chargeBits(sim, from, to)
+	}
+	workers := opt.WorkersFor(n)
+	if sim != nil || workers <= 1 {
+		decodeBits(bm, 0, n, out)
+		return out
+	}
+	starts := make([]int, core.MorselsOf(n))
+	core.ForMorsels(workers, n, func(m, lo, hi int) { starts[m] = countBits(bm, lo, hi) })
+	at := 0
+	for m, c := range starts {
+		starts[m], at = at, at+c
+	}
+	core.ForMorsels(workers, n, func(m, lo, hi int) { decodeBits(bm, lo, hi, out[starts[m]:]) })
+	return out
+}
+
+// chargeBits mirrors RangePos's bitmap path into the simulator: the
+// clear sweep over the words, a read of each of the k leaf OIDs and a
+// write of the word it sets, the decode sweep, and the k-OID output.
+func (t *CSSTree) chargeBits(sim *memsim.Sim, from, to int) {
+	words, k := BitmapWords(len(t.oids)), to-from
+	for w := 0; w < words; w++ {
+		sim.Write(t.bitsBase+uint64(w)*8, 8)
+	}
+	for i := from; i < to; i++ {
+		sim.Read(t.oidsBase+uint64(i)*4, 4)
+		sim.Write(t.bitsBase+uint64(t.oids[i]>>6)*8, 8)
+	}
+	for w := 0; w < words; w++ {
+		sim.Read(t.bitsBase+uint64(w)*8, 8)
+	}
+	out := sim.Alloc(4 * k)
+	for i := 0; i < k; i++ {
+		sim.Write(out+uint64(i)*4, 4)
+	}
+	sim.AddCPU(2*words+2*k, sim.Machine().Cost.WScanBUN/4)
+}
+
+// markBits sets bit o of bm for every OID o.
+//
+//monet:kernel
+func markBits(oids []bat.Oid, bm []uint64) {
+	for _, o := range oids {
+		bm[o>>6] |= 1 << (o & 63)
+	}
+}
+
+// countBits returns the number of set bits of bm in the bit range
+// [lo, hi).
+//
+//monet:kernel
+func countBits(bm []uint64, lo, hi int) int {
+	k := 0
+	for w := lo >> 6; w<<6 < hi; w++ {
+		k += bits.OnesCount64(bm[w] & wordMask(w, lo, hi))
+	}
+	return k
+}
+
+// decodeBits writes the set bits of bm in the bit range [lo, hi) to
+// dst as ascending OIDs and returns how many it wrote. Ranges that
+// share a word may decode concurrently: the bitmap is only read.
+//
+//monet:kernel
+func decodeBits(bm []uint64, lo, hi int, dst []bat.Oid) int {
+	at := 0
+	for w := lo >> 6; w<<6 < hi; w++ {
+		x := bm[w] & wordMask(w, lo, hi)
+		base := bat.Oid(w << 6)
+		for x != 0 {
+			dst[at] = base + bat.Oid(bits.TrailingZeros64(x))
+			at++
+			x &= x - 1
+		}
+	}
+	return at
+}
+
+// wordMask selects the bits of word w that lie in [lo, hi).
+func wordMask(w, lo, hi int) uint64 {
+	m := ^uint64(0)
+	if base := w << 6; lo > base {
+		m <<= uint(lo - base)
+	}
+	if end := (w + 1) << 6; hi < end {
+		m &= ^uint64(0) >> uint(end-hi)
+	}
+	return m
 }
 
 // Height returns the number of levels (diagnostics: a descent touches
