@@ -244,6 +244,9 @@ func (k *kernel) reportBoxing(arg ast.Expr, to types.Type) {
 	if to == nil {
 		return
 	}
+	if _, isTypeParam := to.(*types.TypeParam); isTypeParam {
+		return // generic code is compiled per shape: a type-parameter value is never boxed
+	}
 	if _, isIface := to.Underlying().(*types.Interface); !isIface {
 		return
 	}

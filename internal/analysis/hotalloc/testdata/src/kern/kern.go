@@ -144,6 +144,16 @@ func assignBoxing(x int) {
 	_ = v
 }
 
+// typeParamConv pins that converting to a type parameter does not
+// report: the value keeps its shape's representation, unboxed.
+//
+//monet:kernel
+func typeParamConv[P int32 | uint32](out []P, n int) {
+	for i := 0; i < n; i++ {
+		out[i] = P(i)
+	}
+}
+
 // ifaceThrough pins that interface-to-interface moves do not report.
 //
 //monet:kernel

@@ -18,68 +18,103 @@ import (
 // every access into the simulator.
 
 // SelectRangePos appends the storage positions in [from, to) whose
-// numeric column value lies in [lo, hi] to dst, in ascending order.
+// numeric column value lies in [lo, hi] to dst, in ascending order —
+// as int32 pipeline positions or as OIDs (the materializing select).
 //
 //monet:kernel
-func SelectRangePos(c *Column, lo, hi int64, from, to int, dst []int32) []int32 {
+func SelectRangePos[P int32 | bat.Oid](c *Column, lo, hi int64, from, to int, dst []P) []P {
 	switch v := c.Vec.(type) {
 	case *bat.I8Vec:
-		return selectRangePosSlice(v.V, lo, hi, from, to, dst)
+		return SelectRangeSlice(v.V[from:to], lo, hi, from, dst)
 	case *bat.I16Vec:
-		return selectRangePosSlice(v.V, lo, hi, from, to, dst)
+		return SelectRangeSlice(v.V[from:to], lo, hi, from, dst)
 	case *bat.I32Vec:
-		return selectRangePosSlice(v.V, lo, hi, from, to, dst)
+		return SelectRangeSlice(v.V[from:to], lo, hi, from, dst)
 	case *bat.I64Vec:
-		return selectRangePosSlice(v.V, lo, hi, from, to, dst)
+		return SelectRangeSlice(v.V[from:to], lo, hi, from, dst)
 	default:
 		for i := from; i < to; i++ {
 			if x := c.Vec.Int(i); x >= lo && x <= hi {
-				dst = append(dst, int32(i))
+				dst = append(dst, P(i))
 			}
 		}
 		return dst
 	}
-}
-
-//monet:kernel
-func selectRangePosSlice[T int8 | int16 | int32 | int64](vals []T, lo, hi int64, from, to int, dst []int32) []int32 {
-	for i, v := range vals[from:to] {
-		if x := int64(v); x >= lo && x <= hi {
-			dst = append(dst, int32(from+i))
-		}
-	}
-	return dst
 }
 
 // SelectCodePos appends the storage positions in [from, to) whose
 // unsigned dictionary code equals code to dst — the §3.1 re-mapped
-// string-equality scan as a pipeline stage.
+// string-equality scan. On the narrow code widths it is the range
+// [code, code] over the stored values: the probe is pre-narrowed to
+// the element type, which applies the same wraparound the codes are
+// stored with.
 //
 //monet:kernel
-func SelectCodePos(c *Column, code int64, from, to int, dst []int32) []int32 {
+func SelectCodePos[P int32 | bat.Oid](c *Column, code int64, from, to int, dst []P) []P {
 	switch v := c.Vec.(type) {
 	case *bat.I8Vec:
-		return selectCodePosSlice(v.V, int8(code), from, to, dst)
+		k := int64(int8(code))
+		return SelectRangeSlice(v.V[from:to], k, k, from, dst)
 	case *bat.I16Vec:
-		return selectCodePosSlice(v.V, int16(code), from, to, dst)
+		k := int64(int16(code))
+		return SelectRangeSlice(v.V[from:to], k, k, from, dst)
 	default:
 		for i := from; i < to; i++ {
 			if codeOf(c, i) == code {
-				dst = append(dst, int32(i))
+				dst = append(dst, P(i))
 			}
 		}
 		return dst
 	}
 }
 
+// predBlock is the block length of the predicated select: a block is
+// written straight into dst's spare capacity when it fits, otherwise
+// into a stack buffer of this many positions that is then appended.
+const predBlock = 512
+
+// SelectRangeSlice appends base+i to dst for every vals[i] in
+// [lo, hi], in ascending order. It is branch-free: each candidate is
+// written unconditionally and the output index advances by the result
+// of one unsigned comparison, x-lo <= hi-lo, so the loop costs the
+// same at every selectivity instead of mispredicting on data-dependent
+// branches. dst grows, through append, only when the matches overflow
+// its spare capacity; an inverted range (hi < lo) selects nothing.
+//
 //monet:kernel
-func selectCodePosSlice[T int8 | int16](vals []T, code T, from, to int, dst []int32) []int32 {
-	for i, v := range vals[from:to] {
-		if v == code {
-			dst = append(dst, int32(from+i))
+func SelectRangeSlice[T int8 | int16 | int32 | int64, P int32 | bat.Oid](vals []T, lo, hi int64, base int, dst []P) []P {
+	if hi < lo {
+		return dst
+	}
+	span := uint64(hi) - uint64(lo)
+	var stage [predBlock]P
+	for off := 0; off < len(vals); off += predBlock {
+		blk := vals[off:min(off+predBlock, len(vals))]
+		if spare := dst[len(dst):cap(dst)]; len(spare) >= len(blk) {
+			dst = dst[:len(dst)+selectBlock(blk, lo, span, base+off, spare)]
+		} else {
+			dst = append(dst, stage[:selectBlock(blk, lo, span, base+off, stage[:])]...)
 		}
 	}
 	return dst
+}
+
+// selectBlock is the predicated loop itself: out must hold len(vals)
+// positions; it returns how many of them matched. It is kept out of
+// line: inlined into SelectRangeSlice's two call sites, the loop's
+// index and output count spill to the stack on every row.
+//
+//monet:kernel
+//go:noinline
+func selectBlock[T int8 | int16 | int32 | int64, P int32 | bat.Oid](vals []T, lo int64, span uint64, base int, out []P) int {
+	k := 0
+	for i, v := range vals {
+		out[k] = P(base + i)
+		if uint64(int64(v))-uint64(lo) <= span {
+			k++
+		}
+	}
+	return k
 }
 
 // FilterRangePos keeps the positions whose numeric column value lies
@@ -89,13 +124,13 @@ func selectCodePosSlice[T int8 | int16](vals []T, code T, from, to int, dst []in
 func FilterRangePos(c *Column, lo, hi int64, pos []int32) []int32 {
 	switch v := c.Vec.(type) {
 	case *bat.I8Vec:
-		return filterRangePosSlice(v.V, lo, hi, pos)
+		return filterRangeSlice(v.V, lo, hi, pos)
 	case *bat.I16Vec:
-		return filterRangePosSlice(v.V, lo, hi, pos)
+		return filterRangeSlice(v.V, lo, hi, pos)
 	case *bat.I32Vec:
-		return filterRangePosSlice(v.V, lo, hi, pos)
+		return filterRangeSlice(v.V, lo, hi, pos)
 	case *bat.I64Vec:
-		return filterRangePosSlice(v.V, lo, hi, pos)
+		return filterRangeSlice(v.V, lo, hi, pos)
 	default:
 		out := pos[:0]
 		for _, p := range pos {
@@ -107,17 +142,6 @@ func FilterRangePos(c *Column, lo, hi int64, pos []int32) []int32 {
 	}
 }
 
-//monet:kernel
-func filterRangePosSlice[T int8 | int16 | int32 | int64](vals []T, lo, hi int64, pos []int32) []int32 {
-	out := pos[:0]
-	for _, p := range pos {
-		if x := int64(vals[p]); x >= lo && x <= hi {
-			out = append(out, p)
-		}
-	}
-	return out
-}
-
 // FilterCodePos keeps the positions whose unsigned dictionary code
 // equals code, compacting pos in place.
 //
@@ -125,9 +149,11 @@ func filterRangePosSlice[T int8 | int16 | int32 | int64](vals []T, lo, hi int64,
 func FilterCodePos(c *Column, code int64, pos []int32) []int32 {
 	switch v := c.Vec.(type) {
 	case *bat.I8Vec:
-		return filterCodePosSlice(v.V, int8(code), pos)
+		k := int64(int8(code))
+		return filterRangeSlice(v.V, k, k, pos)
 	case *bat.I16Vec:
-		return filterCodePosSlice(v.V, int16(code), pos)
+		k := int64(int16(code))
+		return filterRangeSlice(v.V, k, k, pos)
 	default:
 		out := pos[:0]
 		for _, p := range pos {
@@ -139,15 +165,25 @@ func FilterCodePos(c *Column, code int64, pos []int32) []int32 {
 	}
 }
 
+// filterRangeSlice is the predicated refilter: every position is
+// written back unconditionally (the write index never passes the read
+// index) and the write index advances by the unsigned range test, as
+// in SelectRangeSlice.
+//
 //monet:kernel
-func filterCodePosSlice[T int8 | int16](vals []T, code T, pos []int32) []int32 {
-	out := pos[:0]
+func filterRangeSlice[T int8 | int16 | int32 | int64](vals []T, lo, hi int64, pos []int32) []int32 {
+	if hi < lo {
+		return pos[:0]
+	}
+	span := uint64(hi) - uint64(lo)
+	k := 0
 	for _, p := range pos {
-		if vals[p] == code {
-			out = append(out, p)
+		pos[k] = p
+		if uint64(int64(vals[p]))-uint64(lo) <= span {
+			k++
 		}
 	}
-	return out
+	return pos[:k]
 }
 
 // AppendIntsPos appends the widened integer values at the given

@@ -47,11 +47,15 @@ func TestParallelSelectsMatchSerial(t *testing.T) {
 			{"none", -10, -1},
 			{"half", 8000, 9000},
 			{"point", 8500, 8500},
+			{"inverted", 9000, 8000},
 		}
 		for _, r := range ranges {
 			want, err := tbl.SelectRange(nil, "date1", r.lo, r.hi)
 			if err != nil {
 				t.Fatal(err)
+			}
+			if r.lo > r.hi && (want == nil || len(want) != 0) {
+				t.Fatalf("inverted range [%d,%d] selected %v, want an empty non-nil list", r.lo, r.hi, want)
 			}
 			for _, w := range []int{2, 3, 16} {
 				got, err := tbl.SelectRangeOpts(nil, "date1", r.lo, r.hi, core.Options{Parallelism: w})

@@ -98,47 +98,12 @@ func nativeSelectRange(c *Column, lo, hi int64) []bat.Oid {
 //
 //monet:kernel
 func nativeSelectRangeAt(c *Column, lo, hi int64, from, to int) []bat.Oid {
-	switch v := c.Vec.(type) {
-	case *bat.I8Vec:
-		return selectSlice(v.V[from:to], lo, hi, from)
-	case *bat.I16Vec:
-		return selectSlice(v.V[from:to], lo, hi, from)
-	case *bat.I32Vec:
-		return selectSlice(v.V[from:to], lo, hi, from)
-	case *bat.I64Vec:
-		return selectSlice(v.V[from:to], lo, hi, from)
-	default:
-		//monet:allow kernalloc non-escaping capacity-estimate predicate, stack-allocated; the scan loop itself is allocation-free
-		out := make([]bat.Oid, 0, estimateCapRange(from, to, func(i int) bool {
-			x := c.Vec.Int(i)
-			return x >= lo && x <= hi
-		}))
-		for i := from; i < to; i++ {
-			if x := c.Vec.Int(i); x >= lo && x <= hi {
-				out = append(out, bat.Oid(i))
-			}
-		}
-		return out
-	}
-}
-
-// selectSlice scans one typed slice, emitting OIDs offset by base.
-// Widths narrower than the bounds clamp correctly because the
-// comparison widens each element.
-//
-//monet:kernel
-func selectSlice[T int8 | int16 | int32 | int64](vals []T, lo, hi int64, base int) []bat.Oid {
 	//monet:allow kernalloc non-escaping capacity-estimate predicate, stack-allocated; the scan loop itself is allocation-free
-	out := make([]bat.Oid, 0, estimateCapRange(0, len(vals), func(i int) bool {
-		x := int64(vals[i])
+	out := make([]bat.Oid, 0, estimateCapRange(from, to, func(i int) bool {
+		x := c.Vec.Int(i)
 		return x >= lo && x <= hi
 	}))
-	for i, v := range vals {
-		if x := int64(v); x >= lo && x <= hi {
-			out = append(out, bat.Oid(base+i))
-		}
-	}
-	return out
+	return SelectRangePos(c, lo, hi, from, to, out)
 }
 
 // SelectString returns the OIDs of rows whose string column equals
@@ -202,39 +167,9 @@ func nativeSelectCode(c *Column, code int64) []bat.Oid {
 //
 //monet:kernel
 func nativeSelectCodeAt(c *Column, code int64, from, to int) []bat.Oid {
-	switch v := c.Vec.(type) {
-	case *bat.I8Vec:
-		return selectEqSlice(v.V[from:to], int8(code), from)
-	case *bat.I16Vec:
-		return selectEqSlice(v.V[from:to], int16(code), from)
-	default:
-		//monet:allow kernalloc non-escaping capacity-estimate predicate, stack-allocated; the scan loop itself is allocation-free
-		out := make([]bat.Oid, 0, estimateCapRange(from, to, func(i int) bool { return codeOf(c, i) == code }))
-		for i := from; i < to; i++ {
-			if codeOf(c, i) == code {
-				out = append(out, bat.Oid(i))
-			}
-		}
-		return out
-	}
-}
-
-// selectEqSlice scans one typed code slice for equality, emitting OIDs
-// offset by base. The target is pre-narrowed to the slice's element
-// type, so each comparison is a single machine-width compare (codes
-// are stored with wraparound, and narrowing the unsigned code value
-// applies the same wraparound).
-//
-//monet:kernel
-func selectEqSlice[T int8 | int16](vals []T, code T, base int) []bat.Oid {
 	//monet:allow kernalloc non-escaping capacity-estimate predicate, stack-allocated; the scan loop itself is allocation-free
-	out := make([]bat.Oid, 0, estimateCapRange(0, len(vals), func(i int) bool { return vals[i] == code }))
-	for i, v := range vals {
-		if v == code {
-			out = append(out, bat.Oid(base+i))
-		}
-	}
-	return out
+	out := make([]bat.Oid, 0, estimateCapRange(from, to, func(i int) bool { return codeOf(c, i) == code }))
+	return SelectCodePos(c, code, from, to, out)
 }
 
 // CodeAt reads the unsigned dictionary code at position i of an

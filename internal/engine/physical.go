@@ -443,13 +443,7 @@ func (o *refilterOp) refilterKeep(ctx *execCtx, b binding, n int) ([][]int32, er
 	kept := make([][]int32, core.MorselsOf(n))
 	testRange := func(vals []int64, lo, hi int64) {
 		ctx.forMorsels(n, func(m, from, to int) {
-			var local []int32
-			for i := from; i < to; i++ {
-				if vals[i] >= lo && vals[i] <= hi {
-					local = append(local, int32(i))
-				}
-			}
-			kept[m] = local
+			kept[m] = dsm.SelectRangeSlice(vals[from:to], lo, hi, from, kept[m])
 		})
 	}
 	switch p := o.pred.(type) {

@@ -682,6 +682,12 @@ func (o *pipelineOp) run(ctx *execCtx, rf []resolvedFilter, chunks []pipeChunk) 
 	n := o.t.N
 	nm := len(chunks)
 	workers := ctx.par(n)
+	// Size every worker's arena before the fan-out: a run then
+	// allocates the same bytes however many workers get to claim a
+	// morsel.
+	for w := 0; w < workers; w++ {
+		ctx.arena(w).ensure(o.vecRows, len(o.gaggOperands()))
+	}
 	if workers <= 1 {
 		produced := 0
 		for m := 0; m < nm; m++ {

@@ -3,6 +3,8 @@ package monetlite
 import (
 	"strings"
 	"testing"
+
+	"monetlite/internal/core"
 )
 
 // The facade-level engine tests: the fluent Query builder as a
@@ -120,5 +122,51 @@ func TestQueryFormatAndRows(t *testing.T) {
 	row := res.Row(0)
 	if len(row) != 3 {
 		t.Fatalf("Row has %d values, want 3", len(row))
+	}
+}
+
+// TestWhereRangeInvertedIsEmpty pins the empty-range contract at the
+// public API: WhereRange(col, lo, hi) with lo > hi selects nothing, on
+// the fused and the materializing (Pipeline(false)) paths, serial and
+// morsel-parallel. The scan and refilter kernels test a range with one
+// unsigned comparison, x-lo <= hi-lo, which an inverted range would
+// pass for every row without their hi < lo guard.
+func TestWhereRangeInvertedIsEmpty(t *testing.T) {
+	old := core.MorselRows
+	core.MorselRows = 1 << 12 // four morsels, so two workers fan out
+	t.Cleanup(func() { core.MorselRows = old })
+	items, err := ItemTable(1<<14, 42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	queries := []struct {
+		name  string
+		build func() *QueryBuilder
+	}{
+		{"select", func() *QueryBuilder {
+			return Query(items).WhereRange("date1", 9499, 8500).Select("order")
+		}},
+		{"refilter", func() *QueryBuilder {
+			return Query(items).WhereString("shipmode", "MAIL").WhereRange("date1", 9499, 8500).Select("order")
+		}},
+		{"refilter-agg", func() *QueryBuilder {
+			return Query(items).WhereString("shipmode", "MAIL").WhereRange("qty", 30, 10).GroupBy("status", Col("price"))
+		}},
+	}
+	for _, q := range queries {
+		for _, workers := range []int{1, 2} {
+			for _, pipe := range []bool{true, false} {
+				res, err := q.build().Parallel(workers).Pipeline(pipe).Run()
+				if err != nil {
+					t.Fatalf("%s workers=%d pipeline=%v: %v", q.name, workers, pipe, err)
+				}
+				if res == nil || res.N() != 0 {
+					t.Fatalf("%s workers=%d pipeline=%v: inverted range selected rows: %+v", q.name, workers, pipe, res)
+				}
+				if col, err := res.Ints("order"); err == nil && col == nil {
+					t.Errorf("%s workers=%d pipeline=%v: empty result column is nil", q.name, workers, pipe)
+				}
+			}
+		}
 	}
 }
